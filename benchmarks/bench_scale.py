@@ -1,22 +1,30 @@
 """SCALE — builder scalability: schedules and exact times at large n.
 
 The paper's formulas are exact at any scale; this bench confirms the
-implementation keeps up — the `F_lambda` table, the BCAST builder, and
-validation all stay near-linear in `n`, and `f_lambda` handles
+implementation keeps up — the `F_lambda` table, the BCAST compiler, its
+event-object view, and validation all stay near-linear in `n`, and `f_lambda` handles
 astronomically large `n` through the doubling table.
 """
 
 from fractions import Fraction
 
-from repro.core.bcast import bcast_events, bcast_schedule
+from repro.core.bcast import bcast_schedule
 from repro.core.fibfunc import GeneralizedFibonacci, postal_f
+from repro.plan import compile_plan
 
 from benchmarks._utils import emit
 
 
 def test_bcast_builder_100k(benchmark):
-    events = benchmark(bcast_events, 100_000, Fraction(5, 2))
-    assert len(events) == 99_999
+    plan = benchmark(compile_plan, "BCAST", 100_000, 1, Fraction(5, 2))
+    assert len(plan) == 99_999
+
+
+def test_bcast_schedule_100k(benchmark):
+    sched = benchmark(
+        bcast_schedule, 100_000, Fraction(5, 2), validate=False
+    )
+    assert len(sched) == 99_999
 
 
 def test_bcast_validation_10k(benchmark):

@@ -60,10 +60,13 @@ adds the installed NumPy version (or ``null``) to the header and the
   :func:`batch_grid`, and (NumPy installed) one strict replay at BCAST
   ``n = 10^5`` must run :data:`BATCH_KERNEL_GATE_MIN_SPEEDUP` faster
   under the kernels than under the pure-Python passes;
-* **plan gate** — columnar construction must be at least
-  :data:`PLAN_GATE_MIN_SPEEDUP` times faster and hold its events in at
-  least :data:`PLAN_GATE_MIN_MEM_RATIO` times less storage than the
-  event-object builder at BCAST ``n = 10^5``;
+* **plan gate** — the columnar plan must hold its events in at least
+  :data:`PLAN_GATE_MIN_MEM_RATIO` times less storage than the
+  event-object ``Schedule`` at BCAST ``n = 10^5``.  The construction
+  speedup over ``bcast_schedule`` is recorded next to it but is
+  advisory: ``bcast_schedule`` is itself the plan compiler plus
+  :meth:`~repro.plan.columns.SchedulePlan.to_schedule`, so the ratio
+  measures materialization cost, not a second builder;
 * **resilience gate** — every fault-injected recovery case at
   ``n =`` :data:`RESILIENCE_GATE_N` must (a) replay bit-identically
   when run twice with the same seed (trace + metrics digests equal),
@@ -78,8 +81,9 @@ adds the installed NumPy version (or ``null``) to the header and the
   exceed the committed baseline's by more than a relative tolerance
   (default ±30%; wall clocks on shared CI runners are noisy, so the
   tolerance is deliberately loose and only *slower* is a failure).
-  ``/1`` and ``/2`` baselines remain readable — the per-case layout is
-  unchanged; cases they predate are simply skipped.
+  Only a :data:`SCHEMA` baseline is accepted, and
+  :func:`load_baseline` checks it before anything is timed; cases it
+  predates are simply skipped.
 
 The grid itself can run sharded over worker processes (``run_bench(...,
 jobs=N)``, ``repro bench --jobs N``): cases are independent and merge in
@@ -106,7 +110,6 @@ __all__ = [
     "BATCH_KERNEL_GATE_MIN_SPEEDUP",
     "BenchCase",
     "BenchResult",
-    "BASELINE_SCHEMAS",
     "COLLECTIVE_GATE_CASE",
     "COLLECTIVE_GATE_MIN_SPEEDUP",
     "GATE_CASE",
@@ -132,6 +135,7 @@ __all__ = [
     "compare_to_baseline",
     "format_results",
     "gate_result",
+    "load_baseline",
     "profile_case",
     "run_bench",
     "run_case",
@@ -140,23 +144,6 @@ __all__ = [
 
 #: Schema tag written into every ``BENCH_turbo.json``.
 SCHEMA = "repro-bench-turbo/7"
-
-#: Schemas :func:`compare_to_baseline` accepts (the per-case layout has
-#: been stable since ``/1``; ``/2`` added runner metadata and the plan
-#: section, ``/3`` the collective cases and gate, ``/4`` the resilience
-#: section, ``/5`` the per-case ``replay_s`` and the replay gate, ``/6``
-#: the ``numpy`` header field and the ``bench_batch`` section, ``/7``
-#: the ``bench_tune`` section — extra top-level keys and case fields
-#: older readers simply ignore).
-BASELINE_SCHEMAS = (
-    "repro-bench-turbo/1",
-    "repro-bench-turbo/2",
-    "repro-bench-turbo/3",
-    "repro-bench-turbo/4",
-    "repro-bench-turbo/5",
-    "repro-bench-turbo/6",
-    "repro-bench-turbo/7",
-)
 
 #: The acceptance gate: ``(family, n)`` that must clear the speedup bar.
 GATE_CASE = ("BCAST", 10_000)
@@ -175,7 +162,8 @@ COLLECTIVE_GATE_MIN_SPEEDUP = 3.0
 #: The plan-layer gate case: BCAST at this ``n`` (single message).
 PLAN_GATE_N = 100_000
 
-#: Minimum columnar-vs-event construction speedup at the plan gate case.
+#: Columnar-vs-event construction speedup the plan section flags as
+#: advisory (recorded, not gated — see the module docstring).
 PLAN_GATE_MIN_SPEEDUP = 3.0
 
 #: Minimum event-storage ratio (event objects over plan columns).
@@ -445,8 +433,11 @@ def _best_of(fn: Callable[[], object], *, budget_s: float = 0.5, reps: int = 3) 
 
 
 def bench_plan_layer(*, n: int = PLAN_GATE_N, lam: Time = _LAM) -> dict:
-    """Benchmark columnar plan construction against the event-object
-    builder at BCAST size *n* (the ``"plan"`` section of the document).
+    """Benchmark columnar plan construction against event-object
+    ``bcast_schedule`` at BCAST size *n* (the ``"plan"`` section of the
+    document).  Only the storage ratio gates; the construction speedup
+    is advisory, since ``bcast_schedule`` compiles the same plan and then
+    materializes it.
 
     Times and memory are measured in separate passes (``tracemalloc``
     slows allocation-heavy code several-fold, so timing under it would
@@ -507,11 +498,9 @@ def bench_plan_layer(*, n: int = PLAN_GATE_N, lam: Time = _LAM) -> dict:
         "storage_ratio": round(storage_ratio, 3),
         "gate": {
             "min_construction_speedup": PLAN_GATE_MIN_SPEEDUP,
+            "construction_advisory": True,
             "min_storage_ratio": PLAN_GATE_MIN_MEM_RATIO,
-            "ok": (
-                construction_speedup >= PLAN_GATE_MIN_SPEEDUP
-                and storage_ratio >= PLAN_GATE_MIN_MEM_RATIO
-            ),
+            "ok": storage_ratio >= PLAN_GATE_MIN_MEM_RATIO,
         },
     }
 
@@ -952,6 +941,56 @@ def to_json(
     return json.dumps(doc, indent=2) + "\n"
 
 
+#: Per-case fields :func:`compare_to_baseline` reads.
+_BASELINE_FIELDS = frozenset(
+    ("family", "n", "m", "lam", "exact_s", "turbo_s", "replay_s")
+)
+
+
+def _check_baseline(doc: object, source: str) -> dict:
+    """*doc* if it is a :data:`SCHEMA` document whose cases carry every
+    field :func:`compare_to_baseline` reads, else a one-line
+    :class:`~repro.errors.ReproError` naming *source*."""
+    from repro.errors import ReproError
+
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA:
+        raise ReproError(
+            f"baseline {source} has schema {schema!r}, expected {SCHEMA!r} "
+            "(regenerate it with `repro bench --out`)"
+        )
+    cases = doc.get("cases")
+    if not isinstance(cases, list) or not all(
+        isinstance(c, dict) and _BASELINE_FIELDS <= c.keys() for c in cases
+    ):
+        raise ReproError(
+            f"baseline {source}: every case needs the fields "
+            f"{', '.join(sorted(_BASELINE_FIELDS))}"
+        )
+    return doc
+
+
+def load_baseline(path: str) -> dict:
+    """Read and check the ``--baseline`` document at *path*.
+
+    ``repro bench`` calls this before timing anything, so a missing,
+    unparseable or wrong-schema file fails in a second, not after the
+    whole run.
+
+    Raises:
+        ReproError: the file cannot be read, is not JSON, or is not a
+            :data:`SCHEMA` document.
+    """
+    from repro.errors import ReproError
+
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, UnicodeDecodeError, ValueError) as exc:
+        raise ReproError(f"cannot read baseline {path}: {exc}") from None
+    return _check_baseline(doc, path)
+
+
 def compare_to_baseline(
     results: Sequence[BenchResult],
     baseline: dict,
@@ -965,19 +1004,13 @@ def compare_to_baseline(
     from the baseline are skipped (the grid may grow); being *faster*
     is never a failure.  Returns human-readable regression lines.
 
-    Baselines in any of :data:`BASELINE_SCHEMAS` are accepted — ``/1``
-    files predate the runner metadata and plan section but share the
-    per-case layout; pre-``/5`` files have no ``replay_s``, so the
-    replay column is only diffed when the baseline recorded it.
+    Raises:
+        ReproError: *baseline* is not a :data:`SCHEMA` document.
     """
-    if baseline.get("schema") not in BASELINE_SCHEMAS:
-        raise ValueError(
-            f"baseline schema {baseline.get('schema')!r} not in "
-            f"{BASELINE_SCHEMAS!r}"
-        )
+    _check_baseline(baseline, "document")
     base = {
         (c["family"], c["n"], c["m"], c["lam"]): c
-        for c in baseline.get("cases", [])
+        for c in baseline["cases"]
     }
     regressions: list[str] = []
     for r in results:
@@ -988,7 +1021,7 @@ def compare_to_baseline(
         for label, fresh, committed in (
             ("exact", r.exact_s, ref["exact_s"]),
             ("turbo", r.turbo_s, ref["turbo_s"]),
-            ("replay", r.replay_s, ref.get("replay_s", 0.0)),
+            ("replay", r.replay_s, ref["replay_s"]),
         ):
             if committed > 0 and fresh > committed * (1.0 + tolerance):
                 regressions.append(

@@ -8,10 +8,10 @@ exist) and node ``i >= 1`` has parent ``(i - 1) // d``.
 The algorithm is fully event-driven: the root emits ``d`` copies of ``M_1``
 left-to-right, then proceeds to ``M_2``; a non-root node forwards each
 arriving message to its children left-to-right, queueing behind its own
-earlier sends when the send port is busy.  The builder here performs that
-event-driven execution deterministically (per-node FIFO send queues) and
-emits the resulting schedule, whose completion time always satisfies
-Lemma 18::
+earlier sends when the send port is busy.  :func:`dtree_schedule` performs
+that event-driven execution deterministically (per-node FIFO send queues,
+compiled in integer ticks by :mod:`repro.plan.build`) and returns the
+resulting schedule, whose completion time always satisfies Lemma 18::
 
     T_DT(n, m, lambda) <= d(m-1) + (d-1+lambda) * ceil(log_d n)
 
@@ -31,12 +31,10 @@ Named shapes from the paper's discussion:
 
 from __future__ import annotations
 
-import math
-from enum import Enum
-
-from repro.core.schedule import Schedule, SendEvent
+from repro.core.schedule import Schedule
 from repro.errors import InvalidParameterError
-from repro.types import ProcId, Time, TimeLike, ZERO, as_time
+from repro.plan.build import DTreeShape, compile_plan, resolve_degree
+from repro.types import ProcId, TimeLike
 
 __all__ = [
     "DTreeShape",
@@ -46,35 +44,6 @@ __all__ = [
     "dtree_height",
     "dtree_schedule",
 ]
-
-
-class DTreeShape(Enum):
-    """Named degree choices discussed in Section 4.3."""
-
-    LINE = "line"  #: d = 1
-    BINARY = "binary"  #: d = 2
-    LATENCY = "latency"  #: d = ceil(lambda) + 1
-    STAR = "star"  #: d = n - 1
-
-
-def resolve_degree(shape: "DTreeShape | int", n: int, lam: TimeLike) -> int:
-    """Translate a :class:`DTreeShape` (or explicit integer) into a degree
-    ``d``, clamped to the valid range ``1 .. max(1, n-1)``."""
-    if isinstance(shape, DTreeShape):
-        lam_t = as_time(lam)
-        if shape is DTreeShape.LINE:
-            d = 1
-        elif shape is DTreeShape.BINARY:
-            d = 2
-        elif shape is DTreeShape.LATENCY:
-            d = math.ceil(lam_t) + 1
-        else:  # STAR
-            d = n - 1
-    else:
-        d = int(shape)
-    if n <= 1:
-        return 1
-    return max(1, min(d, n - 1))
 
 
 def dtree_parent(i: ProcId, d: int) -> ProcId:
@@ -125,31 +94,8 @@ def dtree_schedule(
     The execution is the deterministic fixed point of the event-driven
     rules: every node owns a FIFO of pending sends — message-major, children
     left-to-right, messages becoming pending when they arrive (at ``t = 0``
-    for the root) — and drains it through its unit-time send port.
+    for the root) — and drains it through its unit-time send port.  The
+    drain itself is compiled by :func:`repro.plan.compile_plan`.
     """
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1 processors, got {n}")
-    if m < 1:
-        raise InvalidParameterError(f"need m >= 1 messages, got {m}")
-    lam = as_time(lam)
-    if lam < 1:
-        raise InvalidParameterError(f"the postal model requires lambda >= 1, got {lam}")
-    d = resolve_degree(shape, n, lam)
-
-    events: list[SendEvent] = []
-    # arrival[v][k] = when node v knows message k; BFS numbering guarantees
-    # parents are processed before children.
-    arrival: list[list[Time]] = [[ZERO] * m] + [[ZERO] * m for _ in range(n - 1)]
-    for v in range(n):
-        children = dtree_children(v, d, n)
-        if not children:
-            continue
-        port_free = ZERO
-        for k in range(m):
-            ready = arrival[v][k]
-            for c in children:
-                t = max(port_free, ready)
-                events.append(SendEvent(t, v, k, c))
-                port_free = t + 1
-                arrival[c][k] = t + lam
-    return Schedule(n, lam, events, m=m, validate=validate)
+    family = f"DTREE-{resolve_degree(shape, n, lam)}"
+    return compile_plan(family, n, m, lam).to_schedule(validate=validate)

@@ -1,27 +1,32 @@
-"""Integer-tick plan compilers for the broadcast and collective families.
+"""Integer-tick plan compilers: the schedule builders of every broadcast
+and collective family.
 
-Each compiler runs the *same recurrence* as its ``repro.core`` or
-``repro.collectives`` builder — BCAST's generalized-Fibonacci split
-(Section 3), REPEAT's overlapped iterations (Lemma 10), PACK's
-normalized latency (Lemma 12), PIPELINE's role swap (Lemmas 14/16),
-DTREE's event-driven drain (Section 4.3), and the nine collective shapes
-(gather/scatter stars, the alltoall rotation, the reversed-tree combine
-compositions, the gather+pipeline and Bruck allgathers, the gossip
-ring) — but entirely in **integer ticks** on the run's
+Each broadcast recurrence of the paper lives here exactly once —
+BCAST's generalized-Fibonacci split (Section 3), REPEAT's overlapped
+iterations (Lemma 10), PACK's normalized latency (Lemma 12), PIPELINE's
+role swap (Lemmas 14/16), DTREE's event-driven drain (Section 4.3) and
+the binomial/star baselines.  The classic ``repro.core`` builders
+(:func:`~repro.core.bcast.bcast_schedule`,
+:func:`~repro.core.multi.repeat_schedule`, ...) are views of these
+compilers: ``compile_plan(family, n, m, lam).to_schedule()``.  The
+independent reference for them is the event-driven protocols of
+:mod:`repro.algorithms`, which share no scheduling code with this
+module (``tests/test_plan_roundtrip.py`` pins the two byte-identical).
+
+The nine collective shapes (gather/scatter stars, the alltoall
+rotation, the reversed-tree combine compositions, the gather+pipeline
+and Bruck allgathers, the gossip ring) mirror the static builders of
+:mod:`repro.collectives`, which stay their reference.
+
+Everything runs in **integer ticks** on the run's
 :class:`~repro.turbo.ticks.TickDomain`:
 
 * no per-event :class:`~repro.core.schedule.SendEvent` objects,
 * no per-event :class:`fractions.Fraction` arithmetic,
-* no recursion (explicit worklists throughout, like
-  :func:`repro.core.bcast.bcast_events` since the turbo PR — ``n >= 10^6``
-  never touches the recursion limit),
+* no recursion (explicit worklists throughout — ``n >= 10^6`` never
+  touches the recursion limit),
 * one C-speed ``list.sort`` of packed integer keys instead of a
   ``Fraction``-comparing event sort.
-
-The output :class:`~repro.plan.columns.SchedulePlan` converts to a
-:class:`~repro.core.schedule.Schedule` with events *byte-identical* to the
-corresponding builder's (``tests/test_plan_roundtrip.py`` pins this for
-every family and rational lambda).
 
 Split points ``j = F_lambda(f_lambda(size) - 1)`` come from an
 integer-rescaled copy of the one-pass
@@ -32,11 +37,11 @@ distinct subrange sizes, so split cost vanishes from the profile.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
+from enum import Enum
 
-from repro.core.dtree import DTreeShape, resolve_degree
 from repro.core.fibfunc import FibPrefix, GeneralizedFibonacci, postal_f
-from repro.core.multi import pipeline_variant
 from repro.errors import InvalidParameterError
 from repro.plan.columns import SchedulePlan
 from repro.turbo.ticks import TickDomain
@@ -48,7 +53,46 @@ __all__ = [
     "plan_families",
     "collective_plan_families",
     "plan_m",
+    "DTreeShape",
+    "resolve_degree",
+    "pipeline_variant",
 ]
+
+
+class DTreeShape(Enum):
+    """Named degree choices discussed in Section 4.3."""
+
+    LINE = "line"  #: d = 1
+    BINARY = "binary"  #: d = 2
+    LATENCY = "latency"  #: d = ceil(lambda) + 1
+    STAR = "star"  #: d = n - 1
+
+
+def resolve_degree(shape: "DTreeShape | int", n: int, lam: TimeLike) -> int:
+    """Translate a :class:`DTreeShape` (or explicit integer) into a degree
+    ``d``, clamped to the valid range ``1 .. max(1, n-1)``."""
+    if isinstance(shape, DTreeShape):
+        lam_t = as_time(lam)
+        if shape is DTreeShape.LINE:
+            d = 1
+        elif shape is DTreeShape.BINARY:
+            d = 2
+        elif shape is DTreeShape.LATENCY:
+            d = math.ceil(lam_t) + 1
+        else:  # STAR
+            d = n - 1
+    else:
+        d = int(shape)
+    if n <= 1:
+        return 1
+    return max(1, min(d, n - 1))
+
+
+def pipeline_variant(m: int, lam: TimeLike) -> str:
+    """Which pipeline case applies: ``"PIPELINE-1"`` when ``m <= lambda``
+    (sender finishes first), else ``"PIPELINE-2"``.  At ``m == lambda`` the
+    two coincide; we report PIPELINE-1."""
+    return "PIPELINE-1" if m <= as_time(lam) else "PIPELINE-2"
 
 
 class _IntPrefix:
@@ -57,7 +101,7 @@ class _IntPrefix:
 
     ``split(size)`` is the BCAST split point ``F(f(size) - 1)`` computed
     with two raw bisects over integer arrays — zero ``Fraction``
-    arithmetic in the builders' inner loops.
+    arithmetic in the compilers' inner loops.
     """
 
     __slots__ = ("times", "values", "scale", "_memo")
@@ -236,9 +280,9 @@ def _compile_pipeline(
 
 
 def _compile_binomial(n: int, m: int, lam: Time, domain: TickDomain) -> list[int]:
-    """BINOMIAL: the telephone-era binomial split in ticks — the same
-    recurrence as :func:`repro.algorithms.baselines.binomial_schedule`
-    (the sender keeps the low ``size - half`` ranks, hands the top
+    """BINOMIAL: the telephone-era binomial split in ticks (the recurrence
+    :func:`repro.algorithms.baselines.binomial_time` evaluates; the
+    sender keeps the low ``size - half`` ranks, hands the top
     ``half`` — the largest power of two below ``size`` — to
     ``base + size - half``; the recipient forwards from arrival,
     ``t + lambda``)."""
@@ -271,9 +315,11 @@ def _compile_dtree(
     n: int, m: int, lam: Time, domain: TickDomain, d: int
 ) -> list[int]:
     """DTREE: the deterministic event-driven drain of Section 4.3 over the
-    BFS-numbered degree-``d`` tree, in ticks (same fixed point as
-    :func:`repro.core.dtree.dtree_schedule`: per-node FIFO, message-major,
-    children left to right)."""
+    BFS-numbered degree-``d`` tree, in ticks: the deterministic fixed
+    point of the event-driven rules — every node owns a FIFO of pending
+    sends (message-major, children left to right, a message becoming
+    pending when it arrives) and drains it through its unit-time send
+    port."""
     keys: list[int] = []
     if n < 2:
         return keys
@@ -562,9 +608,10 @@ def compile_plan(
     """Compile ``(family, n, m, lambda)`` into a columnar
     :class:`~repro.plan.columns.SchedulePlan`.
 
-    Pure integer-tick construction: iterative, allocation-light, and
-    byte-identical (via :meth:`~repro.plan.columns.SchedulePlan.
-    to_schedule`) to the corresponding ``repro.core`` builder.
+    Pure integer-tick construction: iterative and allocation-light.
+    For the broadcast families this *is* the builder — the ``repro.core``
+    ``*_schedule`` functions return :meth:`~repro.plan.columns.
+    SchedulePlan.to_schedule` of it.
 
     Args:
         family: one of :func:`plan_families`,
@@ -577,8 +624,8 @@ def compile_plan(
             :meth:`~repro.plan.columns.SchedulePlan.audit` (broadcast
             families) or :meth:`~repro.plan.columns.SchedulePlan.
             audit_ports` (collectives) before returning (off by default
-            — the compilers are the same provably-correct recurrences as
-            the builders; the conformance suite audits independently).
+            — the compilers are the paper's provably-correct
+            recurrences; the conformance suite audits independently).
 
     Raises:
         InvalidParameterError: unknown family, or parameters outside the

@@ -212,9 +212,8 @@ class SchedulePlan:
     def to_schedule(self, *, validate: bool = False) -> Schedule:
         """Materialize the classic event-object :class:`Schedule`.
 
-        The produced events are byte-identical to the corresponding
-        builder's output (``repro.core`` builders and plan compilers run
-        the same recurrences); the round trip
+        For the broadcast families this is what the ``repro.core``
+        ``*_schedule`` builders return; the round trip
         ``SchedulePlan.from_schedule(plan.to_schedule())`` is the
         identity.
         """

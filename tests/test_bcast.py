@@ -6,12 +6,11 @@ import pytest
 
 from repro.core.bcast import (
     BroadcastTree,
-    bcast_events,
     bcast_schedule,
     bcast_tree,
 )
 from repro.core.fibfunc import postal_F, postal_f
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, TickDomainError
 
 from tests.grids import LAMBDAS, SIZES
 
@@ -40,7 +39,41 @@ class TestSchedule:
 
     def test_bad_n(self):
         with pytest.raises(InvalidParameterError):
-            bcast_events(0, 2)
+            bcast_schedule(0, 2)
+
+    def test_off_grid_lambda_is_a_tick_domain_error(self):
+        """A lambda whose denominator exceeds the tick scale (2**24) is
+        refused by every static builder, which compile through the
+        integer-tick plan layer; the exact-backend protocols still run
+        it (see docs/performance.md)."""
+        from repro.algorithms.baselines import binomial_schedule, star_schedule
+        from repro.core.dtree import dtree_schedule
+        from repro.core.multi import (
+            pack_schedule,
+            pipeline_schedule,
+            repeat_schedule,
+        )
+        from repro.turbo.ticks import MAX_SCALE
+
+        lam = 1 + Fraction(1, MAX_SCALE + 1)
+        builders = [
+            lambda: bcast_schedule(5, lam),
+            lambda: bcast_tree(5, lam),
+            lambda: repeat_schedule(5, 2, lam),
+            lambda: pack_schedule(5, 2, lam),
+            lambda: pipeline_schedule(5, 2, lam),
+            lambda: dtree_schedule(5, 2, lam, 2),
+            lambda: star_schedule(5, lam),
+            lambda: binomial_schedule(5, lam),
+        ]
+        for build in builders:
+            with pytest.raises(TickDomainError, match="tick scale"):
+                build()
+        from repro.algorithms import BcastProtocol
+        from repro.postal import run_protocol
+
+        run = run_protocol(BcastProtocol(5, lam), backend="exact")
+        assert run.completion_time == postal_f(lam, 5)
 
     @pytest.mark.parametrize("lam", LAMBDAS, ids=str)
     def test_informed_count_bounded_by_F(self, lam):

@@ -6,6 +6,7 @@ section, its two gates, and the NumPy version stamped in the header."""
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -21,14 +22,17 @@ from repro.bench import (
     bench_batch,
     bench_replay,
     compare_to_baseline,
+    load_baseline,
     profile_case,
     run_bench,
     run_case,
     to_json,
 )
+from repro.errors import ReproError
 from repro.types import as_time
 
 _LAM = as_time(2)
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _fake_results():
@@ -108,17 +112,16 @@ def test_compare_to_baseline_flags_replay_regression():
     assert lines and all("[replay]" in line for line in lines)
 
 
-def test_compare_to_baseline_skips_pre5_baseline_without_replay():
-    results = _fake_results()
-    base = json.loads(to_json(results, mode="smoke"))
-    base["schema"] = "repro-bench-turbo/4"
-    for case in base["cases"]:
-        del case["replay_s"], case["replay_speedup"]
-    slow = [
-        BenchResult(r.case, r.exact_s, r.turbo_s, r.sends, r.replay_s * 10)
-        for r in results
-    ]
-    assert compare_to_baseline(slow, base, tolerance=0.30) == []
+def test_compare_to_baseline_rejects_older_schema():
+    base = json.loads(to_json(_fake_results(), mode="smoke"))
+    base["schema"] = "repro-bench-turbo/6"
+    with pytest.raises(ReproError, match="expected 'repro-bench-turbo/7'"):
+        compare_to_baseline(_fake_results(), base, tolerance=0.30)
+
+
+def test_load_baseline_reads_the_committed_document():
+    doc = load_baseline(str(REPO_ROOT / "BENCH_turbo.json"))
+    assert doc["schema"] == SCHEMA
 
 
 def test_run_case_measures_all_three_backends():

@@ -99,3 +99,63 @@ class TestInapplicableTuneQuery:
         )
         assert code == 2
         assert err == "error: need n >= 2 to tune, got n=1\n"
+
+
+class TestBadDtreeDegree:
+    @pytest.mark.parametrize("command", ["gantt", "simulate"])
+    def test_non_integer_degree(self, capsys, command):
+        code, out, err = run_cli_err(
+            capsys, command, "--algorithm", "dtree-x", "--n", "8",
+            "--lam", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: unknown DTREE shape 'dtree-x'")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["gantt", "simulate"])
+    def test_named_shape_runs(self, capsys, command):
+        code, out, _ = run_cli_err(
+            capsys, command, "--algorithm", "dtree-line", "--n", "4",
+            "--lam", "2",
+        )
+        assert code == 0
+        assert "completion: 6" in out
+
+
+class TestBadBaseline:
+    """``repro bench --baseline`` checks the file before timing anything
+    (the bench grid is stubbed out: reaching it fails the test)."""
+
+    @pytest.fixture(autouse=True)
+    def no_timing(self, monkeypatch):
+        from repro import bench
+
+        def fail(*args, **kwargs):
+            raise AssertionError("bench timed cases before checking the baseline")
+
+        monkeypatch.setattr(bench, "run_bench", fail)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read baseline"),
+            ("{not json", "cannot read baseline"),
+            ('{"schema": "repro-bench-turbo/4", "cases": []}',
+             "has schema 'repro-bench-turbo/4'"),
+            ('{"schema": "repro-bench-turbo/7", "cases": [{"n": 1}]}',
+             "every case needs the fields"),
+        ],
+        ids=["missing", "garbage", "old-schema", "bad-case"],
+    )
+    def test_rejected_before_timing(self, capsys, tmp_path, content, message):
+        path = tmp_path / "baseline.json"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = run_cli_err(
+            capsys, "bench", "--smoke", "--baseline", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
